@@ -22,11 +22,14 @@ test:
 # analyzer pipeline and harness fan-out are concurrent; -race is what
 # validates their synchronization). The harness package runs every
 # experiment driver; under the race detector's ~10x slowdown that outgrows
-# go test's default 10m per-package timeout.
+# go test's default 10m per-package timeout. The perfbench benchmark is a
+# nested module the root ./... never sees; building and vetting it here
+# makes a library API change that breaks it fail locally.
 check:
 	$(GO) vet ./...
 	$(GO) test -run ZeroAllocs ./internal/cache ./internal/umi
 	$(GO) test -race -timeout 30m ./...
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -54,6 +57,5 @@ fuzz:
 	$(GO) test ./internal/umi -run FuzzAnalyzerProfile -fuzz FuzzAnalyzerProfile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/umi -run FuzzWindowSummary -fuzz FuzzWindowSummary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/umi -run FuzzSamplerConfig -fuzz FuzzSamplerConfig -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/umi -run FuzzReservoirProfile -fuzz FuzzReservoirProfile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/introspect -run FuzzSessionConfig -fuzz FuzzSessionConfig -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)

@@ -2,7 +2,9 @@
 // multiplexing many concurrent guest profiling sessions over one shared
 // analyzer pool. Clients create sessions over HTTP, run registered
 // workloads or submitted address-trace streams, and scrape per-session
-// reports, history, and a fleet-wide Prometheus exposition.
+// reports, history, metrics, overhead attribution and event timelines,
+// a fleet-wide Prometheus exposition, and the daemon's own pprof
+// profiles (GET / lists the routes).
 //
 // Usage:
 //

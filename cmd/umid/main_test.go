@@ -159,15 +159,22 @@ func TestDaemonE2E(t *testing.T) {
 			len(runOut), len(wantJSON))
 	}
 
-	// Scrapes: report (same bytes), history, metrics, prometheus.
+	// Scrapes: report (same bytes), history, the observation routes,
+	// pprof, prometheus.
 	if code, rep := doReq(t, http.MethodGet, base+"/sessions/"+id+"/report", nil); code != 200 || !bytes.Equal(rep, wantJSON) {
 		t.Errorf("report: status %d or bytes differ from run output", code)
 	}
 	if code, hist := doReq(t, http.MethodGet, base+"/sessions/"+id+"/history", nil); code != 200 || !strings.Contains(string(hist), "umi-history/v1") {
 		t.Errorf("history: status %d, body %.100s", code, hist)
 	}
-	if code, _ := doReq(t, http.MethodGet, base+"/sessions/"+id+"/metrics", nil); code != 200 {
-		t.Errorf("metrics: status %d", code)
+	for _, p := range []string{"/metrics", "/metrics/delta", "/overhead", "/events",
+		"/events/timeline", "/events/trace"} {
+		if code, _ := doReq(t, http.MethodGet, base+"/sessions/"+id+p, nil); code != 200 {
+			t.Errorf("%s: status %d", p, code)
+		}
+	}
+	if code, _ := doReq(t, http.MethodGet, base+"/debug/pprof/", nil); code != 200 {
+		t.Errorf("/debug/pprof/: status %d", code)
 	}
 	code, prom := doReq(t, http.MethodGet, base+"/metrics/prom", nil)
 	if code != 200 {

@@ -14,6 +14,13 @@
 //	umiprof -ingest file -ingest-addr host:port   ship it to a umid daemon
 //	umiprof -transcode file -o file [-emit-format 1|2]   re-encode a recording
 //	umiprof -list
+//
+// With -http the run is served live as the one session of an in-process
+// umid daemon: the CLI prints http://ADDR/sessions/<id>/ to stderr, the
+// session's routes (metrics, metrics/delta, history, overhead, events,
+// events/timeline, events/trace, report once done) sit under that
+// prefix, and the daemon root serves the session-labelled /metrics/prom
+// and /debug/pprof/. The daemon shuts down when umiprof exits.
 package main
 
 import (
@@ -69,9 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	historyOut := fs.String("history-out", "",
 		"write the profile-history snapshot as JSON to this file")
 	httpAddr := fs.String("http", "",
-		"serve live introspection (/metrics, /events, /debug/pprof) on this address during the run")
+		"serve the run as a one-session umid daemon on this address (/sessions/<id>/metrics, /overhead, /events, /metrics/prom, /debug/pprof/, ...)")
 	httpLinger := fs.Duration("http-linger", 0,
-		"keep the -http server up this long after the report prints (0: stop immediately)")
+		"keep the -http daemon up this long after the report prints (0: stop immediately)")
 	emitOut := fs.String("emit", "",
 		"record the run's umi-profile telemetry stream to this file (replayable via -ingest)")
 	emitFormat := fs.Int("emit-format", 2,
@@ -180,27 +187,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sys.EnableWireEmit(emitEnc)
 		fmt.Fprintf(stderr, "umiprof: live-tailing telemetry into session %s at %s\n", sh.SessionID(), *emitLive)
 	}
-	// The event timeline and the HTTP server are purely observational:
+	// The event timeline and the HTTP daemon are purely observational:
 	// neither touches modelled state, so everything printed to stdout is
 	// byte-identical with or without them (stderr carries their notes).
 	var elog *tracelog.Log
 	if *traceOut != "" || *httpAddr != "" {
 		elog = sys.EnableEventTrace(0)
 	}
+	// -http serves this run as the one session of an in-process umid
+	// daemon, so the CLI's live surfaces are the daemon's per-session ones.
+	var finishSession func(*introspect.RunResult)
 	if *httpAddr != "" {
-		srv := &introspect.Server{
-			Metrics:  sys.LiveMetricsSnapshot,
-			Events:   elog,
-			History:  sys.LiveHistory,
-			Overhead: sys.LiveOverhead,
-		}
-		addr, stop, err := srv.Serve(*httpAddr)
+		d := introspect.NewDaemon(introspect.DaemonConfig{MaxSessions: 1, PrepWorkers: 1})
+		addr, stop, err := d.Serve(*httpAddr)
 		if err != nil {
 			fmt.Fprintf(stderr, "umiprof: http: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "umiprof: introspection server at http://%s/\n", addr)
-		defer stop()
+		defer func() {
+			stop()
+			d.Shutdown()
+		}()
+		var id string
+		id, finishSession = d.Adopt(w.Name, sys, elog)
+		fmt.Fprintf(stderr, "umiprof: introspection server at http://%s/sessions/%s/\n", addr, id)
 	}
 	var opt *prefetch.Optimizer
 	if *swpf {
@@ -269,6 +279,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	rep := sys.Report()
+	if finishSession != nil {
+		finishSession(&introspect.RunResult{
+			Report:      rep,
+			History:     sys.History(),
+			HWMissRatio: h.L2Stats.MissRatio(),
+			Cycles:      rt.TotalCycles(),
+			Instrs:      m.Instrs,
+		})
+	}
 
 	fmt.Fprintf(stdout, "workload:   %s (%s; %s)\n", w.Name, w.Suite, w.Class)
 	fmt.Fprintf(stdout, "platform:   %s (hw prefetch %v)\n", plat.Name, *hwpf && plat.HasHWPrefetch)
@@ -396,7 +415,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stdout.Write(append(data, '\n'))
 	}
 	if *httpAddr != "" && *httpLinger > 0 {
-		fmt.Fprintf(stderr, "umiprof: introspection server up for another %s\n", *httpLinger)
+		fmt.Fprintf(stderr, "umiprof: introspection daemon up for another %s\n", *httpLinger)
 		time.Sleep(*httpLinger)
 	}
 	return 0
@@ -438,9 +457,9 @@ func runTranscode(in, out string, version int, stderr io.Writer) int {
 	return 0
 }
 
-// runIngest replays a recorded umi-profile/v1 stream: locally through
-// umi.Replay (printing the RunResult JSON a daemon ingest would return),
-// or — with addr — shipped to a umid daemon over POST
+// runIngest replays a recorded umi-profile/v1 or /v2 stream: locally
+// through umi.Replay (printing the RunResult JSON a daemon ingest would
+// return), or — with addr — shipped to a umid daemon over POST
 // /sessions/{id}/ingest, printing the daemon's response. Either way the
 // output is byte-identical to the capture process's marshaled result.
 func runIngest(path, addr string, workers int, stdout, stderr io.Writer) int {

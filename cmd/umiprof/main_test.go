@@ -213,9 +213,28 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestE2EHTTP drives the live introspection endpoint end to end: the
-// server comes up on an ephemeral port, serves /metrics and /events while
-// the CLI lingers, and stdout stays byte-identical to a plain run.
+// httpSession waits for a -http run to print its session URL on stderr
+// and returns the daemon address and the session's route prefix
+// ("/sessions/<id>/").
+func httpSession(t *testing.T, errb *syncBuffer) (addr, prefix string) {
+	t.Helper()
+	re := regexp.MustCompile(`http://(127\.0\.0\.1:\d+)(/sessions/s\d+/)`)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if m := re.FindStringSubmatch(errb.String()); m != nil {
+			return m[1], m[2]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session URL never appeared on stderr: %q", errb.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestE2EHTTP drives the live introspection surface end to end: the CLI
+// serves its run as the one session of an in-process daemon on an
+// ephemeral port, every per-session route answers while the CLI lingers,
+// and stdout stays byte-identical to a plain run.
 func TestE2EHTTP(t *testing.T) {
 	_, plain, _ := runCLI(t, "470.lbm")
 	var out bytes.Buffer
@@ -224,56 +243,75 @@ func TestE2EHTTP(t *testing.T) {
 	go func() {
 		done <- run([]string{"-http", "127.0.0.1:0", "-http-linger", "3s", "470.lbm"}, &out, &errb)
 	}()
+	addr, session := httpSession(t, &errb)
 
-	addrRe := regexp.MustCompile(`http://(127\.0\.0\.1:\d+)/`)
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("server address never appeared on stderr: %q", errb.String())
-		}
-		if m := addrRe.FindStringSubmatch(errb.String()); m != nil {
-			addr = m[1]
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-
-	get := func(path string) []byte {
+	get := func(path string) (int, []byte) {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
 		body, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	get200 := func(path string) []byte {
+		code, body := get(path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, code)
 		}
 		return body
 	}
 
 	var snap metrics.Snapshot
-	if err := json.Unmarshal(get("/metrics"), &snap); err != nil {
-		t.Fatalf("/metrics is not a Snapshot: %v", err)
+	if err := json.Unmarshal(get200(session+"metrics"), &snap); err != nil {
+		t.Fatalf("metrics is not a Snapshot: %v", err)
+	}
+	if err := json.Unmarshal(get200(session+"metrics/delta"), &snap); err != nil {
+		t.Fatalf("metrics/delta is not a Snapshot: %v", err)
 	}
 	var events struct {
 		Events []map[string]any `json:"events"`
 	}
-	if err := json.Unmarshal(get("/events?n=50"), &events); err != nil {
-		t.Fatalf("/events is not valid JSON: %v", err)
+	if err := json.Unmarshal(get200(session+"events?n=50"), &events); err != nil {
+		t.Fatalf("events is not valid JSON: %v", err)
 	}
-	if !bytes.HasPrefix(get("/events/timeline"), []byte("timeline:")) {
-		t.Error("/events/timeline missing header")
+	if !bytes.HasPrefix(get200(session+"events/timeline"), []byte("timeline:")) {
+		t.Error("events/timeline missing header")
+	}
+	if !json.Valid(get200(session + "events/trace")) {
+		t.Error("events/trace is not JSON")
+	}
+	var hv umi.HistoryView
+	if err := json.Unmarshal(get200(session+"history"), &hv); err != nil || hv.Schema == "" {
+		t.Errorf("history is not a HistoryView: %v", err)
+	}
+	get200("/debug/pprof/")
+
+	// The report serves once the run finishes, while the daemon lingers;
+	// then the overhead report is final and fully staged.
+	deadline := time.Now().Add(10 * time.Second)
+	var report []byte
+	for report == nil {
+		if code, body := get(session + "report"); code == http.StatusOK {
+			report = body
+		} else if time.Now().After(deadline) {
+			t.Fatalf("report never became available: status %d", code)
+		} else {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if !bytes.Contains(report, []byte(`"report"`)) || !bytes.Contains(report, []byte(`"history"`)) {
+		t.Errorf("report is not a RunResult: %.200s", report)
 	}
 	var ovh umi.OverheadReport
-	if err := json.Unmarshal(get("/overhead"), &ovh); err != nil {
-		t.Fatalf("/overhead is not an OverheadReport: %v", err)
+	if err := json.Unmarshal(get200(session+"overhead"), &ovh); err != nil {
+		t.Fatalf("overhead is not an OverheadReport: %v", err)
 	}
 	if ovh.Schema != umi.OverheadSchema || len(ovh.Stages) == 0 {
-		t.Errorf("/overhead payload = %+v, want a schema-stamped staged report", ovh)
+		t.Errorf("overhead payload = %+v, want a schema-stamped staged report", ovh)
 	}
 
 	if code := <-done; code != 0 {
@@ -393,8 +431,9 @@ func TestE2EOverheadFlag(t *testing.T) {
 }
 
 // TestE2EPromScrape scrapes /metrics/prom off a live run: the exposition
-// must parse (TYPE-declared families, parseable sample values) and carry
-// the stable counter names dashboards pin.
+// must parse (TYPE-declared families, parseable sample values), label
+// every sample with the run's session, and carry the stable counter names
+// dashboards pin.
 func TestE2EPromScrape(t *testing.T) {
 	var out bytes.Buffer
 	var errb syncBuffer
@@ -403,19 +442,8 @@ func TestE2EPromScrape(t *testing.T) {
 		done <- run([]string{"-http", "127.0.0.1:0", "-http-linger", "3s", "470.lbm"}, &out, &errb)
 	}()
 
-	addrRe := regexp.MustCompile(`http://(127\.0\.0\.1:\d+)/`)
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("server address never appeared on stderr: %q", errb.String())
-		}
-		if m := addrRe.FindStringSubmatch(errb.String()); m != nil {
-			addr = m[1]
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
+	addr, session := httpSession(t, &errb)
+	id := strings.TrimSuffix(strings.TrimPrefix(session, "/sessions/"), "/")
 
 	resp, err := http.Get("http://" + addr + "/metrics/prom")
 	if err != nil {
@@ -448,6 +476,9 @@ func TestE2EPromScrape(t *testing.T) {
 		}
 		if _, err := strconv.ParseFloat(line[sp+1:], 64); err != nil {
 			t.Fatalf("line %d: unparseable value in %q", ln+1, line)
+		}
+		if !strings.Contains(line, `session="`+id+`"`) && !strings.Contains(line, `session="ingest"`) {
+			t.Errorf("line %d: sample %q lacks the session label", ln+1, line)
 		}
 	}
 	// The stable names dashboards depend on: at least one counter, one

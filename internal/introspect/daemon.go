@@ -6,19 +6,26 @@
 // config run standalone — while the expensive stateless preparation work
 // is shared and scheduled fairly (round-robin across session lanes).
 //
-// Lifecycle surface (Go 1.22 method+pattern routes):
+// Route table (Go 1.22 method+pattern routes; the only one in the repo):
 //
 //	POST   /sessions             create from a SessionConfig JSON body
 //	GET    /sessions             list sessions with state
 //	POST   /sessions/{id}/run    execute to completion, return the result
 //	POST   /sessions/{id}/ingest replay a umi-profile/v1|v2 stream (?live=1 to tail)
+//	GET    /sessions/{id}/       the session's route index
 //	GET    /sessions/{id}/report completed RunResult (409 until done)
-//	GET    /sessions/{id}/history  live profile-history windows
-//	GET    /sessions/{id}/metrics  live self-observability snapshot
+//	GET    /sessions/{id}/metrics          live self-observability snapshot
+//	GET    /sessions/{id}/metrics/delta    change since the previous delta scrape
+//	GET    /sessions/{id}/history          live profile-history windows
+//	GET    /sessions/{id}/overhead         per-stage self-overhead attribution
+//	GET    /sessions/{id}/events           recent lifecycle events (?n= limits)
+//	GET    /sessions/{id}/events/timeline  plain-text event timeline
+//	GET    /sessions/{id}/events/trace     Chrome trace-event JSON
 //	DELETE /sessions/{id}        remove the session
 //	GET    /metrics/prom         fleet Prometheus exposition (session label)
 //	GET    /fleet/delinquent     cross-session delinquent-set union/intersection
 //	GET    /fleet/phases         cross-session phase-change correlation
+//	GET    /debug/pprof/         the daemon process's Go runtime profiles
 //
 // Admission control: creates past MaxSessions and runs past the shared
 // queue's high-water mark are rejected with 429 so a saturated daemon
@@ -29,11 +36,14 @@ package introspect
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"sync"
 
 	"umi/internal/metrics"
+	"umi/internal/tracelog"
 	"umi/internal/umi"
 )
 
@@ -41,6 +51,9 @@ import (
 const (
 	DefaultMaxSessions = 64
 	DefaultPrepWorkers = 4
+	// sessionEventCap sizes each daemon-run session's event ring: the
+	// newest few thousand events, a bounded cost per co-tenant session.
+	sessionEventCap = 4096
 	// maxConfigBytes bounds a POST /sessions body; MaxTraceAddrs addresses
 	// at ~20 JSON bytes each fit with ample slack.
 	maxConfigBytes = 1 << 20
@@ -93,10 +106,25 @@ type session struct {
 
 	mu     sync.Mutex
 	state  sessionState
-	sys    *umi.System // live once a run has attached; kept after finish
+	sys    *umi.System   // live once a run has attached; kept after finish
+	elog   *tracelog.Log // the attached run's event ring
 	ing    *ingestState
 	result *RunResult
 	runErr error
+	// deleted is set by DELETE; an ingest still running then closes the
+	// replay itself when it finishes.
+	deleted bool
+	// prevDelta is the snapshot the previous metrics/delta scrape took.
+	prevDelta metrics.Snapshot
+}
+
+// closeReplay releases the session's replayer (its pipeline goroutines
+// and shared-pool lane). Caller holds s.mu and owns the replay: no ingest
+// is running.
+func (s *session) closeReplay() {
+	if s.ing != nil && s.ing.replay != nil {
+		s.ing.replay.Close()
+	}
 }
 
 // liveMetrics snapshots the session's registry if a run has attached one.
@@ -115,8 +143,8 @@ func (s *session) liveMetrics() metrics.Snapshot {
 }
 
 // liveOverhead assembles the session's per-stage self-overhead report when
-// a live run is attached. Ingest sessions have no guest (the replayer pays
-// its own costs on daemon time), so they serve nothing here.
+// a live run is attached, else nil. Ingest sessions have no guest (the
+// replayer pays its own costs on daemon time), so they have none.
 func (s *session) liveOverhead() *umi.OverheadReport {
 	s.mu.Lock()
 	sys := s.sys
@@ -178,16 +206,23 @@ func (d *Daemon) SessionCount() int {
 }
 
 // Shutdown drains the daemon: new mutating requests are refused with 503,
-// in-flight runs complete, then the shared pool stops. Idempotent.
+// in-flight runs complete, every remaining session's replayer closes,
+// then the shared pool stops. Idempotent.
 func (d *Daemon) Shutdown() {
 	d.mu.Lock()
 	already := d.draining
 	d.draining = true
 	d.mu.Unlock()
 	d.runs.Wait()
-	if !already {
-		d.shared.Close()
+	if already {
+		return
 	}
+	for _, s := range d.snapshotSessions() {
+		s.mu.Lock()
+		s.closeReplay()
+		s.mu.Unlock()
+	}
+	d.shared.Close()
 }
 
 // lookup resolves a session id; the bool reports existence.
@@ -214,21 +249,52 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	http.Error(w, fmt.Sprintf(format, args...), code)
 }
 
+// sessionHandler is a per-session route: {id} already resolved.
+type sessionHandler func(http.ResponseWriter, *http.Request, *session)
+
+// perSession resolves the {id} path value once per request, so a handler
+// works from one session for the whole response; unknown ids are 404.
+func (d *Daemon) perSession(h sessionHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s, ok := d.lookup(r.PathValue("id"))
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		h(w, r, s)
+	}
+}
+
 // Handler returns the daemon's route table.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /{$}", d.index)
 	mux.HandleFunc("POST /sessions", d.createSession)
 	mux.HandleFunc("GET /sessions", d.listSessions)
-	mux.HandleFunc("POST /sessions/{id}/run", d.runSession)
-	mux.HandleFunc("POST /sessions/{id}/ingest", d.ingestSession)
-	mux.HandleFunc("GET /sessions/{id}/report", d.sessionReport)
-	mux.HandleFunc("GET /sessions/{id}/history", d.sessionHistory)
-	mux.HandleFunc("GET /sessions/{id}/metrics", d.sessionMetrics)
-	mux.HandleFunc("DELETE /sessions/{id}", d.deleteSession)
+	for pattern, h := range map[string]sessionHandler{
+		"POST /sessions/{id}/run":            d.runSession,
+		"POST /sessions/{id}/ingest":         d.ingestSession,
+		"GET /sessions/{id}/{$}":             d.sessionIndex,
+		"GET /sessions/{id}/report":          d.sessionReport,
+		"GET /sessions/{id}/metrics":         d.sessionMetrics,
+		"GET /sessions/{id}/metrics/delta":   d.sessionMetricsDelta,
+		"GET /sessions/{id}/history":         d.sessionHistory,
+		"GET /sessions/{id}/overhead":        d.sessionOverhead,
+		"GET /sessions/{id}/events":          d.sessionEvents,
+		"GET /sessions/{id}/events/timeline": d.sessionTimeline,
+		"GET /sessions/{id}/events/trace":    d.sessionTrace,
+		"DELETE /sessions/{id}":              d.deleteSession,
+	} {
+		mux.HandleFunc(pattern, d.perSession(h))
+	}
 	mux.HandleFunc("GET /metrics/prom", d.fleetProm)
 	mux.HandleFunc("GET /fleet/delinquent", d.fleetDelinquent)
 	mux.HandleFunc("GET /fleet/phases", d.fleetPhases)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -240,13 +306,20 @@ POST   /sessions             create a session (SessionConfig JSON)
 GET    /sessions             list sessions
 POST   /sessions/{id}/run    run to completion, returns the result
 POST   /sessions/{id}/ingest replay a umi-profile/v1|v2 stream (?live=1 to tail)
+GET    /sessions/{id}/       the session's route index
 GET    /sessions/{id}/report completed run result
-GET    /sessions/{id}/history  profile-history windows
-GET    /sessions/{id}/metrics  self-observability snapshot
+GET    /sessions/{id}/metrics          self-observability snapshot (JSON)
+GET    /sessions/{id}/metrics/delta    change since the previous delta scrape
+GET    /sessions/{id}/history          profile-history windows
+GET    /sessions/{id}/overhead         per-stage self-overhead attribution
+GET    /sessions/{id}/events           recent lifecycle events (?n=100 limits)
+GET    /sessions/{id}/events/timeline  plain-text event timeline
+GET    /sessions/{id}/events/trace     Chrome trace-event JSON (open in Perfetto)
 DELETE /sessions/{id}        remove a session
-GET    /metrics/prom         fleet Prometheus exposition
+GET    /metrics/prom         fleet Prometheus exposition (session label)
 GET    /fleet/delinquent     delinquent-set union/intersection
 GET    /fleet/phases         phase-change correlation
+GET    /debug/pprof/         Go runtime profiles
 `)
 }
 
@@ -341,13 +414,7 @@ func (d *Daemon) listSessions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, infos)
 }
 
-func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request) {
-	s, ok := d.lookup(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-
+func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request, s *session) {
 	// Admission: refuse while draining, and shed load past the shared
 	// queue's high-water mark rather than deepening the backlog.
 	d.mu.Lock()
@@ -387,22 +454,15 @@ func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request) {
 
 	// Runs execute synchronously on the request goroutine: the HTTP server
 	// already gives each session its own goroutine, and the client gets
-	// the result as the response body.
+	// the result as the response body. The event ring is observational,
+	// so the result is byte-identical to a standalone run without one.
 	res, err := runSession(&s.cfg, d.shared, func(sys *umi.System) {
+		elog := sys.EnableEventTrace(sessionEventCap)
 		s.mu.Lock()
-		s.sys = sys
+		s.sys, s.elog = sys, elog
 		s.mu.Unlock()
 	}, nil)
-
-	s.mu.Lock()
-	if err != nil {
-		s.state = stateFailed
-		s.runErr = err
-	} else {
-		s.state = stateDone
-		s.result = res
-	}
-	s.mu.Unlock()
+	s.finish(res, err)
 
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "run: %v", err)
@@ -411,12 +471,36 @@ func (d *Daemon) runSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-func (d *Daemon) sessionReport(w http.ResponseWriter, r *http.Request) {
-	s, ok := d.lookup(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
+// finish records a run's outcome: done with its result, or failed.
+func (s *session) finish(res *RunResult, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.state = stateFailed
+		s.runErr = err
 		return
 	}
+	s.state = stateDone
+	s.result = res
+}
+
+// Adopt registers a run driven from outside the daemon — the caller owns
+// the guest thread — as a running session, so the daemon's per-session
+// routes serve its live state. guest names the workload; events is the
+// run's event ring (nil serves an empty one). The returned finish marks
+// the session done with the run's result. Adoption bypasses admission
+// control: the run is already under way.
+func (d *Daemon) Adopt(guest string, sys *umi.System, events *tracelog.Log) (id string, finish func(*RunResult)) {
+	d.mu.Lock()
+	d.nextID++
+	s := &session{id: fmt.Sprintf("s%d", d.nextID), seq: d.nextID,
+		cfg: SessionConfig{Workload: guest}, state: stateRunning, sys: sys, elog: events}
+	d.sessions[s.id] = s
+	d.mu.Unlock()
+	return s.id, func(res *RunResult) { s.finish(res, nil) }
+}
+
+func (d *Daemon) sessionReport(w http.ResponseWriter, r *http.Request, s *session) {
 	s.mu.Lock()
 	res, state, runErr := s.result, s.state, s.runErr
 	s.mu.Unlock()
@@ -431,59 +515,27 @@ func (d *Daemon) sessionReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, res)
 }
 
-func (d *Daemon) sessionHistory(w http.ResponseWriter, r *http.Request) {
-	s, ok := d.lookup(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, s.liveHistory())
-}
-
-func (d *Daemon) sessionMetrics(w http.ResponseWriter, r *http.Request) {
-	s, ok := d.lookup(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, s.liveMetrics())
-}
-
-func (d *Daemon) deleteSession(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+func (d *Daemon) deleteSession(w http.ResponseWriter, r *http.Request, s *session) {
 	d.mu.Lock()
-	_, ok := d.sessions[id]
-	delete(d.sessions, id)
+	_, ok := d.sessions[s.id]
+	delete(d.sessions, s.id)
 	d.mu.Unlock()
-	if !ok {
+	if !ok { // a concurrent DELETE won
 		http.NotFound(w, r)
 		return
 	}
-	// A run still executing holds its own reference and completes against
-	// the shared pool; its result is simply unreachable. Accounting is
-	// exact the moment the delete returns.
+	// A run or ingest still executing holds its own reference and
+	// completes against the shared pool; its result is simply
+	// unreachable, and an ingest closes its replayer as it finishes.
+	// Otherwise the replayer is released here. Accounting is exact the
+	// moment the delete returns.
+	s.mu.Lock()
+	s.deleted = true
+	if s.state != stateRunning {
+		s.closeReplay()
+	}
+	s.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// fleetProm renders every session's registry as one labeled exposition,
-// plus the daemon's own ingest counters under the reserved label
-// "ingest".
-func (d *Daemon) fleetProm(w http.ResponseWriter, r *http.Request) {
-	sessions := d.snapshotSessions()
-	labeled := make([]metrics.LabeledSnapshot, 0, len(sessions)+1)
-	labeled = append(labeled, metrics.LabeledSnapshot{Label: "ingest", Snap: d.ingest.reg.Snapshot()})
-	for _, s := range sessions {
-		labeled = append(labeled, metrics.LabeledSnapshot{Label: s.id, Snap: s.liveMetrics()})
-	}
-	w.Header().Set("Content-Type", metrics.PromContentType)
-	metrics.WritePrometheusFleet(w, labeled)
-	ovh := make([]umi.LabeledOverhead, 0, len(sessions))
-	for _, s := range sessions {
-		if rep := s.liveOverhead(); rep != nil {
-			ovh = append(ovh, umi.LabeledOverhead{Label: s.id, Report: rep})
-		}
-	}
-	umi.WriteOverheadPromFleet(w, ovh)
 }
 
 // fleetMember pairs a session id with its completed result, the input to
@@ -520,9 +572,25 @@ func (d *Daemon) fleetPhases(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, FormatFleetPhases(d.completedFleet()))
 }
 
-// Serve starts the daemon's HTTP surface on addr; same contract as
-// Server.Serve. The stop function shuts the listener down but does not
-// drain the daemon — call Shutdown for that.
+// Serve starts the daemon's HTTP surface on addr (e.g. ":8080",
+// "127.0.0.1:0") on a background goroutine and returns the bound address
+// and a stop function that closes the listener and waits for the serving
+// goroutine to exit. Stopping does not drain the daemon — call Shutdown
+// for that.
 func (d *Daemon) Serve(addr string) (string, func(), error) {
-	return serveHandler(addr, d.Handler())
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, err
+	}
+	srv := &http.Server{Handler: d.Handler()}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ln)
+	}()
+	stop := func() {
+		srv.Close()
+		<-done
+	}
+	return ln.Addr().String(), stop, nil
 }

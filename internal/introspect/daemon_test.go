@@ -3,14 +3,19 @@ package introspect
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"umi/internal/umi"
 )
 
 // --- helpers ---
@@ -185,6 +190,12 @@ func TestDaemonLifecycle(t *testing.T) {
 		{http.MethodGet, "/sessions/nope/report"},
 		{http.MethodGet, "/sessions/nope/history"},
 		{http.MethodGet, "/sessions/nope/metrics"},
+		{http.MethodGet, "/sessions/nope/metrics/delta"},
+		{http.MethodGet, "/sessions/nope/overhead"},
+		{http.MethodGet, "/sessions/nope/events"},
+		{http.MethodGet, "/sessions/nope/events/timeline"},
+		{http.MethodGet, "/sessions/nope/events/trace"},
+		{http.MethodPost, "/sessions/nope/ingest"},
 		{http.MethodDelete, "/sessions/nope"},
 	} {
 		if code, _ := doReq(t, probe.method, base+probe.path, nil); code != http.StatusNotFound {
@@ -480,4 +491,242 @@ func TestDaemonScrapeDuringDelete(t *testing.T) {
 	}
 	close(stopScrape)
 	scrapeWG.Wait()
+}
+
+// TestDaemonRoutesDuringRunAndDelete scrapes every per-session route while
+// the session runs and while it is deleted — mid-run in some rounds, after
+// the run in others. Each response must be that session's payload or a
+// 404, never a mix: a report is byte-identical to the session's own
+// standalone run, and every history window equals the same invocation's
+// window of that run. Run under -race.
+func TestDaemonRoutesDuringRunAndDelete(t *testing.T) {
+	const rounds = 6
+	var want [2]*RunResult
+	var wantBytes [2][]byte
+	wantWindows := [2]map[int]string{{}, {}}
+	for sig := range want {
+		res, err := RunStandalone(traceSessionConfig(sig, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[sig], wantBytes[sig] = res, resultBytes(t, res)
+		for _, w := range res.History.Windows {
+			b, _ := json.Marshal(w)
+			wantWindows[sig][w.Invocation] = string(b)
+		}
+	}
+	if bytes.Equal(wantBytes[0], wantBytes[1]) {
+		t.Fatal("the two signatures must produce distinguishable payloads")
+	}
+
+	routes := append([]string{""}, sessionRoutes...)
+	check := func(id string, sig int, route string, code int, body []byte) error {
+		if code == http.StatusNotFound || (route == "report" && code == http.StatusConflict) {
+			return nil
+		}
+		if code != http.StatusOK {
+			return fmt.Errorf("status %d", code)
+		}
+		switch route {
+		case "":
+			if !bytes.Contains(body, []byte("/sessions/"+id+"/")) {
+				return fmt.Errorf("index names another session: %.80s", body)
+			}
+		case "report":
+			if !bytes.Equal(body, wantBytes[sig]) {
+				return errors.New("report is not this session's standalone result")
+			}
+		case "history":
+			var v umi.HistoryView
+			if err := json.Unmarshal(body, &v); err != nil || v.Schema == "" {
+				return fmt.Errorf("history %v: %.80s", err, body)
+			}
+			for _, w := range v.Windows {
+				b, _ := json.Marshal(w)
+				if ref, ok := wantWindows[sig][w.Invocation]; ok && ref != string(b) {
+					return fmt.Errorf("window %d is not this session's", w.Invocation)
+				}
+			}
+		case "overhead":
+			var r umi.OverheadReport
+			if err := json.Unmarshal(body, &r); err != nil || r.Schema != umi.OverheadSchema {
+				return fmt.Errorf("overhead %v: %.80s", err, body)
+			}
+			if r.GuestCycles > want[sig].Cycles {
+				return fmt.Errorf("overhead guest cycles %d past this session's total %d", r.GuestCycles, want[sig].Cycles)
+			}
+		case "events":
+			var p struct {
+				Cap    int               `json:"cap"`
+				Events []json.RawMessage `json:"events"`
+			}
+			if err := json.Unmarshal(body, &p); err != nil || len(p.Events) > p.Cap {
+				return fmt.Errorf("events %v: %.80s", err, body)
+			}
+		case "events/timeline":
+			if !bytes.HasPrefix(body, []byte("timeline:")) {
+				return fmt.Errorf("timeline: %.80s", body)
+			}
+		default: // metrics, metrics/delta, events/trace
+			if !json.Valid(body) {
+				return fmt.Errorf("invalid JSON: %.80s", body)
+			}
+		}
+		return nil
+	}
+
+	d, base := startDaemon(t, DaemonConfig{MaxSessions: 4, PrepWorkers: 2})
+	client := &http.Client{}
+	for i := 0; i < rounds; i++ {
+		sig := i % 2
+		id := createSession(t, base, traceSessionConfig(sig, 2))
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := g; ; k++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					route := routes[k%len(routes)]
+					resp, err := client.Get(base + "/sessions/" + id + "/" + route)
+					if err != nil {
+						t.Errorf("GET %s/%s: %v", id, route, err)
+						return
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err == nil {
+						err = check(id, sig, route, resp.StatusCode, body)
+					}
+					if err != nil {
+						t.Errorf("round %d GET /sessions/%s/%s: %v", i, id, route, err)
+					}
+				}
+			}(g)
+		}
+
+		runDone := make(chan int, 1)
+		go func() {
+			resp, err := client.Post(base+"/sessions/"+id+"/run", "", nil)
+			if err != nil {
+				runDone <- 0
+				return
+			}
+			resp.Body.Close()
+			runDone <- resp.StatusCode
+		}()
+		if i%2 == 0 {
+			// Delete mid-run: wait until the run has attached.
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				s, _ := d.lookup(id)
+				s.mu.Lock()
+				attached := s.sys != nil
+				s.mu.Unlock()
+				if attached {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("run never attached")
+				}
+			}
+		} else if code := <-runDone; code != http.StatusOK {
+			t.Fatalf("round %d run: status %d", i, code)
+		}
+		if code, _ := doReq(t, http.MethodDelete, base+"/sessions/"+id, nil); code != http.StatusNoContent {
+			t.Fatalf("round %d delete: status %d", i, code)
+		}
+		if i%2 == 0 {
+			// A run deleted mid-flight still completes.
+			if code := <-runDone; code != http.StatusOK {
+				t.Fatalf("round %d run deleted mid-flight: status %d", i, code)
+			}
+		}
+		close(stop)
+		wg.Wait()
+	}
+}
+
+// TestDaemonIngestReplaysReleased: an ingest session's replayer owns
+// pipeline goroutines and a shared-pool lane. Deleting the session — idle,
+// or while an ingest is still reading — and shutting the daemon down with
+// sessions still registered must release them all: the goroutine count
+// returns to its baseline.
+func TestDaemonIngestReplaysReleased(t *testing.T) {
+	_, stream := emitStream(t, tinyConfig(0))
+	g0 := runtime.NumGoroutine()
+	d := NewDaemon(DaemonConfig{PrepWorkers: 2})
+	h := d.Handler()
+	serve := func(method, path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, body))
+		return rec
+	}
+	create := func() string {
+		rec := serve(http.MethodPost, "/sessions", bytes.NewReader(ingestConfigJSON(2)))
+		var inf sessionInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &inf); rec.Code != http.StatusCreated || err != nil {
+			t.Fatalf("create: status %d, body %s", rec.Code, rec.Body)
+		}
+		return inf.ID
+	}
+	ingest := func(id string, body io.Reader) int {
+		return serve(http.MethodPost, "/sessions/"+id+"/ingest", body).Code
+	}
+	del := func(id string) {
+		if rec := serve(http.MethodDelete, "/sessions/"+id, nil); rec.Code != http.StatusNoContent {
+			t.Fatalf("delete %s: status %d", id, rec.Code)
+		}
+	}
+	settle := func(limit int, when string) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > limit {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, baseline %d", when, runtime.NumGoroutine(), limit)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	g1 := runtime.NumGoroutine()
+
+	const cycles = 20
+	for i := 0; i < cycles; i++ {
+		id := create()
+		if code := ingest(id, bytes.NewReader(stream)); code != http.StatusOK {
+			t.Fatalf("ingest: status %d", code)
+		}
+		del(id)
+	}
+	settle(g1, fmt.Sprintf("after %d create/ingest/delete cycles", cycles))
+
+	// Delete while the ingest still waits for the stream's last byte: the
+	// ingest finishes on a deleted session and closes its own replayer.
+	id := create()
+	pr, pw := io.Pipe()
+	done := make(chan int, 1)
+	go func() { done <- ingest(id, pr) }()
+	if _, err := pw.Write(stream[:len(stream)-1]); err != nil {
+		t.Fatal(err)
+	}
+	del(id)
+	pw.Write(stream[len(stream)-1:])
+	pw.Close()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("ingest finishing after delete: status %d", code)
+	}
+	settle(g1, "after a delete mid-ingest")
+
+	// Shutdown releases the replayers of sessions never deleted.
+	for i := 0; i < 4; i++ {
+		if code := ingest(create(), bytes.NewReader(stream)); code != http.StatusOK {
+			t.Fatalf("ingest: status %d", code)
+		}
+	}
+	d.Shutdown()
+	settle(g0, "after Shutdown")
 }

@@ -247,9 +247,9 @@ func (st *ingestState) apply(shard *umi.ReplayShard) {
 	}
 }
 
-// ReplayStream replays one recorded umi-profile/v1 stream outside any
-// daemon and returns its RunResult — byte-identical (marshaled) to the
-// capture process's, at any worker count. The `umiprof -ingest` path.
+// ReplayStream replays one recorded umi-profile/v1 or /v2 stream outside
+// any daemon and returns its RunResult — byte-identical (marshaled) to
+// the capture process's, at any worker count. The `umiprof -ingest` path.
 func ReplayStream(body io.Reader, workers int) (*RunResult, error) {
 	dec := wire.NewDecoder(body)
 	h, err := dec.Header()
@@ -359,12 +359,7 @@ func shardManifestHeaders(r *http.Request) (wire.Manifest, bool) {
 // retry cannot reconcile — poisons the session; a live upload (?live=1)
 // that cuts off parks it resumable instead, and everything detected
 // before replay state changes restores the previous state.
-func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request) {
-	s, ok := d.lookup(r.PathValue("id"))
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
+func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request, s *session) {
 	if !s.cfg.Ingest {
 		httpError(w, http.StatusConflict, "session %s does not ingest; create it with \"ingest\": true", s.id)
 		return
@@ -392,12 +387,17 @@ func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request) {
 	live := r.URL.Query().Get("live") == "1"
 
 	s.mu.Lock()
-	switch s.state {
-	case stateRunning:
+	switch {
+	case s.deleted:
+		// Deleted after the lookup: its replayer may be closed already.
+		s.mu.Unlock()
+		http.NotFound(w, r)
+		return
+	case s.state == stateRunning:
 		s.mu.Unlock()
 		httpError(w, http.StatusConflict, "session %s has an ingest in flight", s.id)
 		return
-	case stateFailed:
+	case s.state == stateFailed:
 		err := s.runErr
 		s.mu.Unlock()
 		httpError(w, http.StatusConflict, "session %s is poisoned by an earlier shard: %v", s.id, err)
@@ -465,6 +465,10 @@ func (d *Daemon) ingestSession(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.state = stateFailed
 		s.runErr = err
+	}
+	if s.deleted {
+		// DELETE arrived mid-ingest and left the replayer to us.
+		s.closeReplay()
 	}
 	s.mu.Unlock()
 

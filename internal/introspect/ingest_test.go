@@ -288,6 +288,12 @@ func TestDaemonRouteContentTypes(t *testing.T) {
 		{"report", http.MethodGet, "/sessions/" + guestID + "/report", nil, http.StatusOK, jsonCT},
 		{"history", http.MethodGet, "/sessions/" + guestID + "/history", nil, http.StatusOK, jsonCT},
 		{"metrics", http.MethodGet, "/sessions/" + guestID + "/metrics", nil, http.StatusOK, jsonCT},
+		{"metrics-delta", http.MethodGet, "/sessions/" + guestID + "/metrics/delta", nil, http.StatusOK, jsonCT},
+		{"overhead", http.MethodGet, "/sessions/" + guestID + "/overhead", nil, http.StatusOK, jsonCT},
+		{"events", http.MethodGet, "/sessions/" + guestID + "/events", nil, http.StatusOK, jsonCT},
+		{"events-timeline", http.MethodGet, "/sessions/" + guestID + "/events/timeline", nil, http.StatusOK, textCT},
+		{"events-trace", http.MethodGet, "/sessions/" + guestID + "/events/trace", nil, http.StatusOK, jsonCT},
+		{"session-index", http.MethodGet, "/sessions/" + guestID + "/", nil, http.StatusOK, textCT},
 		{"ingest", http.MethodPost, "/sessions/" + ingID + "/ingest", stream, http.StatusOK, jsonCT},
 		{"prom", http.MethodGet, "/metrics/prom", nil, http.StatusOK, "text/plain; version=0.0.4; charset=utf-8"},
 		{"fleet-delinquent", http.MethodGet, "/fleet/delinquent", nil, http.StatusOK, textCT},

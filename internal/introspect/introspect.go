@@ -1,134 +1,33 @@
-// Package introspect is the runtime's live observation surface: a small
-// stdlib-only HTTP server exposing the self-observability metrics and the
-// structured event timeline of a running (or finished) UMI session.
+// Package introspect is the runtime's live observation surface and its
+// control plane: the umid daemon (daemon.go, which lists every route) and
+// the per-session observation routes it serves under /sessions/{id}/ for
+// every session — created over HTTP, ingesting a recorded stream, or a
+// run driven from outside the daemon and adopted into it (`umiprof -http`
+// serves its one run that way).
 //
 // The paper's position is that introspection should be cheap enough to
-// leave on in production; this package is the operational payoff — point a
+// leave on in production; this is the operational payoff — point a
 // browser or a scraper at a running profiler and watch it profile itself:
-//
-//	/metrics          current metrics snapshot (JSON)
-//	/metrics/delta    change since the previous /metrics/delta scrape (JSON)
-//	/metrics/prom     Prometheus text exposition: full registry + latest
-//	                  phase-window gauges (scrape this from Prometheus)
-//	/history          profile-history ring: per-invocation window summaries
-//	                  with churn and phase-change flags (JSON)
-//	/events           recent ring contents with drop accounting (JSON)
-//	/events/timeline  deterministic plain-text timeline
-//	/events/trace     Chrome trace-event JSON (load in Perfetto)
-//	/debug/pprof/     the Go runtime's own profiles
+// metrics and their per-session deltas, profile history, per-stage
+// overhead, and the event ring as JSON, a plain-text timeline, or a
+// Chrome trace.
 //
 // Handlers only read atomics (the metrics registry, the event ring), so
 // serving concurrently with a running guest is safe and perturbs nothing:
-// the guest never blocks on an observer. The metrics source is pulled per
-// request; pass the session's live snapshot function, not a stale copy.
+// the guest never blocks on an observer. A session with no run attached
+// (created, or ingesting) serves empty schema-stamped payloads.
 package introspect
 
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"umi/internal/metrics"
 	"umi/internal/tracelog"
 	"umi/internal/umi"
 )
-
-// Sources bundles one session's observability taps: the live metrics
-// snapshot function, the event ring, and the live history snapshot
-// function. A Server holds the current Sources behind an atomic pointer so
-// the wired session can be swapped (or torn down) while scrapes are in
-// flight: a handler resolves the pointer once per request and works from
-// that consistent bundle, never from fields mid-replacement.
-type Sources struct {
-	// Metrics returns the current self-observability snapshot. It is
-	// called once per request and must be safe from any goroutine (the
-	// session's LiveMetricsSnapshot, not the draining MetricsSnapshot).
-	Metrics func() metrics.Snapshot
-	// Events is the session's event ring (may be nil).
-	Events *tracelog.Log
-	// History returns the current profile-history snapshot. Like Metrics
-	// it is called once per request and must be safe from any goroutine —
-	// the session's LiveHistory, which never drains the pipeline, so a
-	// scrape cannot block or reorder guest progress. Nil serves an empty
-	// (schema-stamped) view.
-	History func() umi.HistoryView
-	// Overhead returns the current per-stage self-overhead attribution —
-	// the session's LiveOverhead, assembled purely from the registry, so
-	// it is safe from any goroutine and never touches guest-owned state.
-	// Nil serves an empty report.
-	Overhead func() *umi.OverheadReport
-}
-
-// Server serves one session's observability state. Zero-value fields are
-// legal: a nil Metrics source serves empty snapshots, a nil Events log
-// serves an empty timeline. The construction-time fields seed the initial
-// wiring; SetSources replaces the whole bundle atomically at any time
-// (e.g. when the profiled session is being torn down), so a scrape racing
-// a teardown sees either the old session or the empty state — never a
-// half-cleared mix.
-type Server struct {
-	// Metrics, Events, History are the construction-time sources — see
-	// Sources for their contracts. They are read only until the first
-	// SetSources call; after that the atomic bundle wins.
-	Metrics  func() metrics.Snapshot
-	Events   *tracelog.Log
-	History  func() umi.HistoryView
-	Overhead func() *umi.OverheadReport
-
-	src atomic.Pointer[Sources]
-
-	// delta state: the snapshot taken by the previous /metrics/delta
-	// request, so each scrape reports one interval.
-	mu   sync.Mutex
-	prev metrics.Snapshot
-}
-
-// SetSources atomically replaces the server's observability sources. A nil
-// argument detaches the current session: subsequent scrapes serve empty
-// payloads. Safe to call concurrently with in-flight requests — each
-// request resolved its bundle once and finishes against it.
-func (s *Server) SetSources(src *Sources) {
-	if src == nil {
-		src = &Sources{}
-	}
-	s.src.Store(src)
-}
-
-// sources resolves the current bundle: the atomically-swapped one if
-// SetSources has run, else a view of the construction-time fields.
-func (s *Server) sources() *Sources {
-	if p := s.src.Load(); p != nil {
-		return p
-	}
-	return &Sources{Metrics: s.Metrics, Events: s.Events, History: s.History,
-		Overhead: s.Overhead}
-}
-
-func (s *Server) snapshot() metrics.Snapshot {
-	if src := s.sources(); src.Metrics != nil {
-		return src.Metrics()
-	}
-	return metrics.Snapshot{}
-}
-
-func (s *Server) history() umi.HistoryView {
-	if src := s.sources(); src.History != nil {
-		return src.History()
-	}
-	return (*umi.History)(nil).View()
-}
-
-func (s *Server) overhead() *umi.OverheadReport {
-	if src := s.sources(); src.Overhead != nil {
-		return src.Overhead()
-	}
-	return &umi.OverheadReport{Schema: umi.OverheadSchema}
-}
 
 func writeJSON(w http.ResponseWriter, v any) {
 	data, err := json.MarshalIndent(v, "", "  ")
@@ -140,69 +39,55 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Write(append(data, '\n'))
 }
 
-// Handler returns the server's route table.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.index)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.snapshot())
-	})
-	mux.HandleFunc("/metrics/delta", func(w http.ResponseWriter, r *http.Request) {
-		cur := s.snapshot()
-		s.mu.Lock()
-		d := cur.Diff(s.prev)
-		s.prev = cur
-		s.mu.Unlock()
-		writeJSON(w, d)
-	})
-	mux.HandleFunc("/metrics/prom", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", metrics.PromContentType)
-		metrics.WritePrometheus(w, s.snapshot())
-		umi.WriteHistoryProm(w, s.history())
-		umi.WriteOverheadProm(w, s.overhead())
-	})
-	mux.HandleFunc("/overhead", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.overhead())
-	})
-	mux.HandleFunc("/history", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.history())
-	})
-	mux.HandleFunc("/events", s.events)
-	mux.HandleFunc("/events/timeline", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		elog := s.sources().Events
-		fmt.Fprint(w, tracelog.Timeline(elog.Events(), elog.Drops()))
-	})
-	mux.HandleFunc("/events/trace", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		tracelog.WriteChromeTrace(w, s.sources().Events.Events())
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
+// events returns the session's event ring: nil (an empty ring to every
+// reader) until a run with event tracing attaches.
+func (s *session) events() *tracelog.Log {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.elog
 }
 
-func (s *Server) index(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
+func (d *Daemon) sessionIndex(w http.ResponseWriter, r *http.Request, s *session) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, `umi runtime introspection
+	fmt.Fprintf(w, "umi session %s (%s)\n\n", s.id, s.info().Guest)
+	for _, route := range sessionRoutes {
+		fmt.Fprintf(w, "/sessions/%s/%s\n", s.id, route)
+	}
+}
 
-/metrics          current self-observability snapshot (JSON)
-/metrics/delta    change since the previous /metrics/delta scrape (JSON)
-/metrics/prom     Prometheus text exposition (registry + phase gauges)
-/history          profile-history windows with phase-change flags (JSON)
-/overhead         per-stage self-overhead attribution (JSON)
-/events           recent lifecycle events (JSON; ?n=100 limits)
-/events/timeline  deterministic plain-text timeline
-/events/trace     Chrome trace-event JSON (open in Perfetto)
-/debug/pprof/     Go runtime profiles
-`)
+// sessionRoutes lists the per-session observation routes for the
+// session index page.
+var sessionRoutes = []string{
+	"report", "metrics", "metrics/delta", "history", "overhead",
+	"events", "events/timeline", "events/trace",
+}
+
+func (d *Daemon) sessionMetrics(w http.ResponseWriter, r *http.Request, s *session) {
+	writeJSON(w, s.liveMetrics())
+}
+
+// sessionMetricsDelta serves the change since this session's previous
+// delta scrape, so each scrape reports one interval. The first scrape
+// diffs against the empty snapshot.
+func (d *Daemon) sessionMetricsDelta(w http.ResponseWriter, r *http.Request, s *session) {
+	cur := s.liveMetrics()
+	s.mu.Lock()
+	delta := cur.Diff(s.prevDelta)
+	s.prevDelta = cur
+	s.mu.Unlock()
+	writeJSON(w, delta)
+}
+
+func (d *Daemon) sessionHistory(w http.ResponseWriter, r *http.Request, s *session) {
+	writeJSON(w, s.liveHistory())
+}
+
+func (d *Daemon) sessionOverhead(w http.ResponseWriter, r *http.Request, s *session) {
+	rep := s.liveOverhead()
+	if rep == nil {
+		rep = &umi.OverheadReport{Schema: umi.OverheadSchema}
+	}
+	writeJSON(w, rep)
 }
 
 // eventsPayload is the /events response: ring accounting plus the
@@ -214,7 +99,7 @@ type eventsPayload struct {
 	Events []tracelog.Event `json:"events"`
 }
 
-func (s *Server) events(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) sessionEvents(w http.ResponseWriter, r *http.Request, s *session) {
 	n := 0
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
@@ -224,7 +109,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	elog := s.sources().Events
+	elog := s.events()
 	evs := elog.Recent(n)
 	if evs == nil {
 		evs = []tracelog.Event{}
@@ -235,31 +120,33 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Serve starts the server on addr (e.g. ":8080", "127.0.0.1:0") and
-// returns the bound listener address and a stop function that shuts the
-// server down and waits for it to exit. Serving happens on a background
-// goroutine; the caller's thread is never involved.
-func (s *Server) Serve(addr string) (string, func(), error) {
-	return serveHandler(addr, s.Handler())
+func (d *Daemon) sessionTimeline(w http.ResponseWriter, r *http.Request, s *session) {
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	elog := s.events()
+	fmt.Fprint(w, tracelog.Timeline(elog.Events(), elog.Drops()))
 }
 
-// serveHandler binds addr, serves h on a background goroutine, and
-// returns the bound address plus a stop function that closes the server
-// and waits for the serving goroutine to exit.
-func serveHandler(addr string, h http.Handler) (string, func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
+func (d *Daemon) sessionTrace(w http.ResponseWriter, r *http.Request, s *session) {
+	w.Header().Set("Content-Type", "application/json")
+	tracelog.WriteChromeTrace(w, s.events().Events())
+}
+
+// fleetProm renders every session's registry as one labeled exposition,
+// plus the daemon's own ingest counters under the reserved label
+// "ingest", then each session's phase-window and overhead families.
+func (d *Daemon) fleetProm(w http.ResponseWriter, r *http.Request) {
+	sessions := d.snapshotSessions()
+	labeled := make([]metrics.LabeledSnapshot, 0, len(sessions)+1)
+	labeled = append(labeled, metrics.LabeledSnapshot{Label: "ingest", Snap: d.ingest.reg.Snapshot()})
+	hist := make([]umi.LabeledHistory, 0, len(sessions))
+	ovh := make([]umi.LabeledOverhead, 0, len(sessions))
+	for _, s := range sessions {
+		labeled = append(labeled, metrics.LabeledSnapshot{Label: s.id, Snap: s.liveMetrics()})
+		hist = append(hist, umi.LabeledHistory{Label: s.id, View: s.liveHistory()})
+		ovh = append(ovh, umi.LabeledOverhead{Label: s.id, Report: s.liveOverhead()})
 	}
-	srv := &http.Server{Handler: h}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Serve(ln)
-	}()
-	stop := func() {
-		srv.Close()
-		<-done
-	}
-	return ln.Addr().String(), stop, nil
+	w.Header().Set("Content-Type", metrics.PromContentType)
+	metrics.WritePrometheusFleet(w, labeled)
+	umi.WriteHistoryPromFleet(w, hist)
+	umi.WriteOverheadPromFleet(w, ovh)
 }

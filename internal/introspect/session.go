@@ -70,7 +70,7 @@ type SessionConfig struct {
 	MaxInstrs uint64 `json:"max_instrs,omitempty"`
 
 	// Ingest declares a replay session: it runs no guest and instead
-	// accepts umi-profile/v1 streams via POST /sessions/{id}/ingest,
+	// accepts umi-profile/v1|v2 streams via POST /sessions/{id}/ingest,
 	// analyzing them on the daemon's shared pool. Mutually exclusive with
 	// every guest-execution knob — the stream header carries the analyzer
 	// configuration — except Workers, which picks the replay pipeline
@@ -269,7 +269,7 @@ func (c *SessionConfig) machineName() string {
 // runSession executes one session's guest to completion. publish, when
 // non-nil, receives the attached System before the guest starts so live
 // scrapes can observe the run in flight. enc, when non-nil, records the
-// run's umi-profile/v1 stream; emission is observational, so the result
+// run's umi-profile stream; emission is observational, so the result
 // is byte-identical with or without it.
 func runSession(cfg *SessionConfig, shared *umi.SharedPrep, publish func(*umi.System), enc *wire.Encoder) (*RunResult, error) {
 	prog, err := cfg.guestProgram()

@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition (format version 0.0.4) of a Snapshot, so any
-// standard scraper can poll the runtime's self-observability registry
-// mid-run. The mapping:
+// Prometheus text exposition (format version 0.0.4) of session-labelled
+// Snapshots, so any standard scraper can poll the runtime's
+// self-observability registries mid-run. The mapping:
 //
 //   - counters  → counter samples
 //   - gauges    → a gauge sample plus a companion <name>_max gauge for the
@@ -44,14 +44,8 @@ func promName(name string) string {
 	return sb.String()
 }
 
-// WritePrometheus renders the snapshot as Prometheus text exposition.
-func WritePrometheus(w io.Writer, s Snapshot) {
-	WritePrometheusFleet(w, []LabeledSnapshot{{Snap: s}})
-}
-
 // LabeledSnapshot pairs one snapshot with the value of its `session`
-// label in a fleet exposition. An empty Label renders unlabeled samples
-// (the single-session exposition).
+// label in a fleet exposition.
 type LabeledSnapshot struct {
 	Label string
 	Snap  Snapshot
@@ -64,16 +58,9 @@ func labelEscape(v string) string {
 }
 
 // sampleLabels renders the label set for one sample: the session label
-// (when present) joined with any extra pre-rendered `k="v"` pairs.
+// joined with any extra pre-rendered `k="v"` pairs.
 func sampleLabels(session string, extra ...string) string {
-	parts := make([]string, 0, 1+len(extra))
-	if session != "" {
-		parts = append(parts, fmt.Sprintf("session=%q", labelEscape(session)))
-	}
-	parts = append(parts, extra...)
-	if len(parts) == 0 {
-		return ""
-	}
+	parts := append([]string{fmt.Sprintf("session=%q", labelEscape(session))}, extra...)
 	return "{" + strings.Join(parts, ",") + "}"
 }
 

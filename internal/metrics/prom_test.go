@@ -11,15 +11,16 @@ import (
 // checkExposition validates a Prometheus 0.0.4 text exposition the way a
 // scraper's parser would: every non-comment line is `name[{labels}] value`
 // with a legal metric name and a parseable value, every sample is preceded
-// by a # TYPE declaration for its family, histogram buckets are cumulative
-// and end at le="+Inf" with the family's _count. Returns the declared
-// families by type.
+// by a # TYPE declaration for its family, each session's histogram buckets
+// are cumulative and end at le="+Inf" with that session's _count. Returns
+// the declared families by type.
 func checkExposition(t *testing.T, text string) map[string]string {
 	t.Helper()
 	types := make(map[string]string)
-	lastBucket := make(map[string]uint64)  // family -> running cumulative count
-	lastInf := make(map[string]uint64)     // family -> +Inf bucket value
-	sampleCount := make(map[string]uint64) // family -> _count value
+	// Histogram series are keyed by family and session label.
+	lastBucket := make(map[string]uint64)  // series -> running cumulative count
+	lastInf := make(map[string]uint64)     // series -> +Inf bucket value
+	sampleCount := make(map[string]uint64) // series -> _count value
 	for ln, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if line == "" {
 			t.Fatalf("line %d: empty line in exposition", ln+1)
@@ -68,36 +69,44 @@ func checkExposition(t *testing.T, text string) map[string]string {
 		if types[family] == "" {
 			t.Fatalf("line %d: sample %q has no preceding # TYPE", ln+1, name)
 		}
+		if !strings.HasPrefix(labels, "session=") {
+			t.Fatalf("line %d: sample %q carries no session label", ln+1, line)
+		}
+		session, le, _ := strings.Cut(labels, ",")
+		series := family + "{" + session + "}"
 		if strings.HasSuffix(name, "_bucket") {
 			u, _ := strconv.ParseUint(val, 10, 64)
-			if u < lastBucket[family] {
+			if u < lastBucket[series] {
 				t.Fatalf("line %d: bucket count %d below previous %d (not cumulative)",
-					ln+1, u, lastBucket[family])
+					ln+1, u, lastBucket[series])
 			}
-			lastBucket[family] = u
-			if labels == `le="+Inf"` {
-				lastInf[family] = u
+			lastBucket[series] = u
+			if le == `le="+Inf"` {
+				lastInf[series] = u
 			}
 		}
 		if strings.HasSuffix(name, "_count") {
 			u, _ := strconv.ParseUint(val, 10, 64)
-			sampleCount[family] = u
+			sampleCount[series] = u
 		}
 	}
-	for family, typ := range types {
-		if typ != "histogram" {
-			continue
-		}
-		inf, ok := lastInf[family]
+	for series, count := range sampleCount {
+		inf, ok := lastInf[series]
 		if !ok {
-			t.Errorf("histogram %s has no le=\"+Inf\" bucket", family)
+			t.Errorf("histogram %s has no le=\"+Inf\" bucket", series)
 		}
-		if inf != sampleCount[family] {
-			t.Errorf("histogram %s: +Inf bucket %d != _count %d",
-				family, inf, sampleCount[family])
+		if inf != count {
+			t.Errorf("histogram %s: +Inf bucket %d != _count %d", series, inf, count)
 		}
 	}
 	return types
+}
+
+// render writes one snapshot as the session-"s1" exposition.
+func render(s Snapshot) string {
+	var sb strings.Builder
+	WritePrometheusFleet(&sb, []LabeledSnapshot{{Label: "s1", Snap: s}})
+	return sb.String()
 }
 
 func TestWritePrometheus(t *testing.T) {
@@ -108,9 +117,7 @@ func TestWritePrometheus(t *testing.T) {
 	for _, v := range []uint64{1, 2, 2, 3, 9, 100} {
 		h.Observe(v)
 	}
-	var sb strings.Builder
-	WritePrometheus(&sb, r.Snapshot())
-	out := sb.String()
+	out := render(r.Snapshot())
 
 	types := checkExposition(t, out)
 	if types["umi_traces_seen"] != "counter" {
@@ -123,17 +130,17 @@ func TestWritePrometheus(t *testing.T) {
 		t.Errorf("histogram not declared: %v", types)
 	}
 	for _, want := range []string{
-		"umi_traces_seen 17\n",
-		"umi_pool_depth 3\n",
-		"umi_pool_depth_max 3\n",
-		"umi_analysis_latency_sum 117\n",
-		"umi_analysis_latency_count 6\n",
-		`umi_analysis_latency_bucket{le="+Inf"} 6` + "\n",
+		`umi_traces_seen{session="s1"} 17` + "\n",
+		`umi_pool_depth{session="s1"} 3` + "\n",
+		`umi_pool_depth_max{session="s1"} 3` + "\n",
+		`umi_analysis_latency_sum{session="s1"} 117` + "\n",
+		`umi_analysis_latency_count{session="s1"} 6` + "\n",
+		`umi_analysis_latency_bucket{session="s1",le="+Inf"} 6` + "\n",
 		// bounds 1,2,4,8: cumulative 1,3,4,4 then 9 and 100 overflow
-		`umi_analysis_latency_bucket{le="1"} 1` + "\n",
-		`umi_analysis_latency_bucket{le="2"} 3` + "\n",
-		`umi_analysis_latency_bucket{le="4"} 4` + "\n",
-		`umi_analysis_latency_bucket{le="8"} 4` + "\n",
+		`umi_analysis_latency_bucket{session="s1",le="1"} 1` + "\n",
+		`umi_analysis_latency_bucket{session="s1",le="2"} 3` + "\n",
+		`umi_analysis_latency_bucket{session="s1",le="4"} 4` + "\n",
+		`umi_analysis_latency_bucket{session="s1",le="8"} 4` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -141,10 +148,29 @@ func TestWritePrometheus(t *testing.T) {
 	}
 
 	// Deterministic: a second render is byte-identical.
-	var again strings.Builder
-	WritePrometheus(&again, r.Snapshot())
-	if again.String() != out {
+	if render(r.Snapshot()) != out {
 		t.Error("exposition not deterministic for a fixed snapshot")
+	}
+
+	// A fleet declares each family once, then one sample per session that
+	// carries it, in slice order.
+	other := NewRegistry()
+	other.Counter("umi.traces.seen").Add(5)
+	var sb strings.Builder
+	WritePrometheusFleet(&sb, []LabeledSnapshot{
+		{Label: "s1", Snap: r.Snapshot()}, {Label: "s2", Snap: other.Snapshot()},
+	})
+	fleet := sb.String()
+	checkExposition(t, fleet)
+	if c := strings.Count(fleet, "# TYPE umi_traces_seen counter\n"); c != 1 {
+		t.Errorf("fleet declares umi_traces_seen %d times, want 1", c)
+	}
+	want := `umi_traces_seen{session="s1"} 17` + "\n" + `umi_traces_seen{session="s2"} 5` + "\n"
+	if !strings.Contains(fleet, want) {
+		t.Errorf("fleet missing %q:\n%s", want, fleet)
+	}
+	if strings.Contains(fleet, `umi_pool_depth{session="s2"}`) {
+		t.Errorf("fleet rendered a gauge s2 does not carry:\n%s", fleet)
 	}
 }
 
@@ -169,10 +195,8 @@ func TestPromName(t *testing.T) {
 // still produce a well-formed histogram with an +Inf bucket — never a
 // division or a NaN.
 func TestWritePrometheusEmptyAndDiff(t *testing.T) {
-	var sb strings.Builder
-	WritePrometheus(&sb, Snapshot{})
-	if sb.String() != "" {
-		t.Errorf("empty snapshot rendered %q, want empty", sb.String())
+	if out := render(Snapshot{}); out != "" {
+		t.Errorf("empty snapshot rendered %q, want empty", out)
 	}
 
 	r := NewRegistry()
@@ -181,11 +205,6 @@ func TestWritePrometheusEmptyAndDiff(t *testing.T) {
 	h.Observe(5)
 	cur := r.Snapshot()
 
-	render := func(s Snapshot) string {
-		var b strings.Builder
-		WritePrometheus(&b, s)
-		return b.String()
-	}
 	if got, want := render(cur.Diff(Snapshot{})), render(cur); got != want {
 		t.Errorf("diff against empty differs from original:\n%s\nvs\n%s", got, want)
 	}
@@ -193,7 +212,11 @@ func TestWritePrometheusEmptyAndDiff(t *testing.T) {
 	self := cur.Diff(cur)
 	out := render(self)
 	checkExposition(t, out)
-	for _, want := range []string{"lat_sum 0\n", "lat_count 0\n", `lat_bucket{le="+Inf"} 0` + "\n"} {
+	for _, want := range []string{
+		`lat_sum{session="s1"} 0` + "\n",
+		`lat_count{session="s1"} 0` + "\n",
+		`lat_bucket{session="s1",le="+Inf"} 0` + "\n",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("self-diff missing %q:\n%s", want, out)
 		}
@@ -204,7 +227,7 @@ func TestWritePrometheusEmptyAndDiff(t *testing.T) {
 	zero := Snapshot{Histograms: map[string]HistogramValue{"ghost": {}}}
 	out = render(zero)
 	checkExposition(t, out)
-	if !strings.Contains(out, `ghost_bucket{le="+Inf"} 0`+"\n") {
+	if !strings.Contains(out, `ghost_bucket{session="s1",le="+Inf"} 0`+"\n") {
 		t.Errorf("zero histogram missing synthesized +Inf bucket:\n%s", out)
 	}
 	if strings.Contains(out, "NaN") {
@@ -218,10 +241,9 @@ func TestPromOverflowBound(t *testing.T) {
 	s := Snapshot{Histograms: map[string]HistogramValue{
 		"h": {Count: 1, Sum: 3, Buckets: []Bucket{{Le: math.MaxUint64, Count: 1}}},
 	}}
-	var sb strings.Builder
-	WritePrometheus(&sb, s)
-	if strings.Contains(sb.String(), fmt.Sprintf("%d", uint64(math.MaxUint64))) {
-		t.Errorf("overflow bound leaked as integer:\n%s", sb.String())
+	out := render(s)
+	if strings.Contains(out, fmt.Sprintf("%d", uint64(math.MaxUint64))) {
+		t.Errorf("overflow bound leaked as integer:\n%s", out)
 	}
-	checkExposition(t, sb.String())
+	checkExposition(t, out)
 }

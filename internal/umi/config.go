@@ -148,19 +148,10 @@ type Config struct {
 	// BurstPeriod ≤ 1 disables burst sampling (today's behaviour exactly).
 	BurstPeriod int
 
-	// SamplerSeed seeds the deterministic burst and reservoir schedules.
+	// SamplerSeed seeds the deterministic burst schedule.
 	// Zero is a valid seed; two runs with the same seed (and config)
 	// produce byte-identical reports.
 	SamplerSeed uint64
-
-	// ReservoirRows, when > 0 and below the effective row target, caps how
-	// many rows a profile physically retains: the first ReservoirRows
-	// recorded executions fill the buffer, after which each further one
-	// replaces a deterministically-pseudo-random resident with probability
-	// cap/seen (classic reservoir sampling) or is dropped — so the
-	// analyzer replays a uniform sample of the burst's executions at a
-	// fraction of the simulation cost. 0 disables.
-	ReservoirRows int
 
 	// AdaptSampling enables history-driven adaptation: after
 	// AdaptStableWindows consecutive analyzer windows without a

@@ -384,28 +384,54 @@ func FormatHistory(windows []WindowSummary) string {
 	return sb.String()
 }
 
-// WriteHistoryProm appends the phase-history metrics to a Prometheus text
-// exposition: running totals as counters and the latest window's behaviour
-// as gauges, so a scraper polling /metrics/prom mid-run sees the current
-// phase without parsing the full window list.
-func WriteHistoryProm(w io.Writer, v HistoryView) {
-	writeProm := func(name, typ string, value string) {
-		fmt.Fprintf(w, "# TYPE %s %s\n%s %s\n", name, typ, name, value)
+// LabeledHistory pairs a fleet label (session id) with one history view.
+type LabeledHistory struct {
+	Label string
+	View  HistoryView
+}
+
+// WriteHistoryPromFleet appends the phase-history metrics of many sessions
+// to a Prometheus text exposition, one session-labelled sample each:
+// running totals as counters and the latest window's behaviour as gauges,
+// so a scraper polling mid-run sees each session's current phase without
+// parsing its window list. Each family's TYPE line appears once; a
+// session with no windows yet carries only the totals.
+func WriteHistoryPromFleet(w io.Writer, members []LabeledHistory) {
+	family := func(name, typ string, value func(HistoryView) (string, bool)) {
+		typed := false
+		for _, m := range members {
+			v, ok := value(m.View)
+			if !ok {
+				continue
+			}
+			if !typed {
+				fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
+				typed = true
+			}
+			fmt.Fprintf(w, "%s{session=%q} %s\n", name, m.Label, v)
+		}
 	}
-	writeProm("umi_phase_windows_total", "counter", fmt.Sprintf("%d", v.Total))
-	writeProm("umi_phase_windows_dropped_total", "counter", fmt.Sprintf("%d", v.Dropped))
-	writeProm("umi_phase_changes_total", "counter", fmt.Sprintf("%d", v.PhaseChanges))
-	if len(v.Windows) == 0 {
-		return
+	total := func(f func(HistoryView) uint64) func(HistoryView) (string, bool) {
+		return func(v HistoryView) (string, bool) { return fmt.Sprintf("%d", f(v)), true }
 	}
-	last := v.Windows[len(v.Windows)-1]
-	writeProm("umi_phase_window_miss_ratio", "gauge", promFloat(last.WindowMissRatio))
-	writeProm("umi_phase_cum_miss_ratio", "gauge", promFloat(last.CumMissRatio))
-	writeProm("umi_phase_delinquent_size", "gauge", fmt.Sprintf("%d", last.Delinquent))
-	writeProm("umi_phase_jaccard", "gauge", promFloat(last.Jaccard))
-	writeProm("umi_phase_strided_loads", "gauge", fmt.Sprintf("%d", last.StridedLoads))
-	writeProm("umi_phase_ws_lines", "gauge", fmt.Sprintf("%d", last.WSLines))
-	writeProm("umi_phase_last_cycles", "gauge", fmt.Sprintf("%d", last.Cycles))
+	latest := func(f func(WindowSummary) string) func(HistoryView) (string, bool) {
+		return func(v HistoryView) (string, bool) {
+			if len(v.Windows) == 0 {
+				return "", false
+			}
+			return f(v.Windows[len(v.Windows)-1]), true
+		}
+	}
+	family("umi_phase_windows_total", "counter", total(func(v HistoryView) uint64 { return v.Total }))
+	family("umi_phase_windows_dropped_total", "counter", total(func(v HistoryView) uint64 { return v.Dropped }))
+	family("umi_phase_changes_total", "counter", total(func(v HistoryView) uint64 { return v.PhaseChanges }))
+	family("umi_phase_window_miss_ratio", "gauge", latest(func(win WindowSummary) string { return promFloat(win.WindowMissRatio) }))
+	family("umi_phase_cum_miss_ratio", "gauge", latest(func(win WindowSummary) string { return promFloat(win.CumMissRatio) }))
+	family("umi_phase_delinquent_size", "gauge", latest(func(win WindowSummary) string { return fmt.Sprintf("%d", win.Delinquent) }))
+	family("umi_phase_jaccard", "gauge", latest(func(win WindowSummary) string { return promFloat(win.Jaccard) }))
+	family("umi_phase_strided_loads", "gauge", latest(func(win WindowSummary) string { return fmt.Sprintf("%d", win.StridedLoads) }))
+	family("umi_phase_ws_lines", "gauge", latest(func(win WindowSummary) string { return fmt.Sprintf("%d", win.WSLines) }))
+	family("umi_phase_last_cycles", "gauge", latest(func(win WindowSummary) string { return fmt.Sprintf("%d", win.Cycles) }))
 }
 
 // promFloat renders a float sample value the way Prometheus expects.

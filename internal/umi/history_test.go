@@ -2,6 +2,7 @@ package umi
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -305,12 +306,12 @@ func TestFormatHistory(t *testing.T) {
 func TestWriteHistoryProm(t *testing.T) {
 	// Empty view: the three counters appear, no gauges, and no NaN ever.
 	var sb strings.Builder
-	WriteHistoryProm(&sb, (*History)(nil).View())
+	WriteHistoryPromFleet(&sb, []LabeledHistory{{Label: "s1", View: (*History)(nil).View()}})
 	out := sb.String()
 	for _, c := range []string{
-		"umi_phase_windows_total 0",
-		"umi_phase_windows_dropped_total 0",
-		"umi_phase_changes_total 0",
+		`umi_phase_windows_total{session="s1"} 0`,
+		`umi_phase_windows_dropped_total{session="s1"} 0`,
+		`umi_phase_changes_total{session="s1"} 0`,
 	} {
 		if !strings.Contains(out, c) {
 			t.Errorf("empty exposition missing %q:\n%s", c, out)
@@ -320,24 +321,41 @@ func TestWriteHistoryProm(t *testing.T) {
 		t.Errorf("empty exposition must carry no gauges:\n%s", out)
 	}
 
-	// Live view: gauges track the newest window.
+	// Live view: gauges track the newest window, labelled per session;
+	// each family is declared once, and an empty member adds only totals.
 	cfg := testConfig()
 	s, _ := runUMI(t, strideWorkload(t, 300_000), cfg)
+	hv := s.History()
 	sb.Reset()
-	WriteHistoryProm(&sb, s.History())
+	WriteHistoryPromFleet(&sb, []LabeledHistory{
+		{Label: "s1", View: hv}, {Label: "s2", View: (*History)(nil).View()},
+	})
 	out = sb.String()
+	last := hv.Windows[len(hv.Windows)-1]
 	for _, c := range []string{
 		"# TYPE umi_phase_windows_total counter",
 		"# TYPE umi_phase_window_miss_ratio gauge",
-		"umi_phase_delinquent_size",
-		"umi_phase_last_cycles",
+		`umi_phase_windows_total{session="s2"} 0`,
+		`umi_phase_delinquent_size{session="s1"}`,
+		fmt.Sprintf("umi_phase_last_cycles{session=\"s1\"} %d\n", last.Cycles),
 	} {
 		if !strings.Contains(out, c) {
 			t.Errorf("exposition missing %q:\n%s", c, out)
 		}
 	}
+	if c := strings.Count(out, "# TYPE umi_phase_windows_total counter"); c != 1 {
+		t.Errorf("umi_phase_windows_total declared %d times, want 1", c)
+	}
+	if strings.Contains(out, `umi_phase_last_cycles{session="s2"}`) {
+		t.Errorf("windowless session carries a latest-window gauge:\n%s", out)
+	}
 	if strings.Contains(out, "NaN") {
 		t.Errorf("exposition contains NaN:\n%s", out)
+	}
+	sb.Reset()
+	WriteHistoryPromFleet(&sb, nil)
+	if sb.Len() != 0 {
+		t.Errorf("empty fleet wrote %q", sb.String())
 	}
 }
 

@@ -86,13 +86,11 @@ type Metrics struct {
 	GuestOverheadCyc  *metrics.Gauge     // mirror of total modelled introspection overhead
 	GuestWallNs       *metrics.Gauge     // run wall time (final after Finish)
 
-	// Sampler (sampler.go): burst / reservoir / adaptation activity.
-	BurstSkips        *metrics.Counter // trace entries skipped by the burst schedule
-	ReservoirReplaced *metrics.Counter // rows that overwrote a reservoir resident
-	ReservoirDrops    *metrics.Counter // rows dropped by the reservoir
-	AdaptShrinks      *metrics.Counter // adaptation steps down (shrink/stretch)
-	AdaptRearms       *metrics.Counter // phase-change re-arms back to full profiling
-	AdaptLevel        *metrics.Gauge   // current adaptation level (value / high-water)
+	// Sampler (sampler.go): burst / adaptation activity.
+	BurstSkips   *metrics.Counter // trace entries skipped by the burst schedule
+	AdaptShrinks *metrics.Counter // adaptation steps down (shrink/stretch)
+	AdaptRearms  *metrics.Counter // phase-change re-arms back to full profiling
+	AdaptLevel   *metrics.Gauge   // current adaptation level (value / high-water)
 }
 
 // analysisLatencyBuckets is the fixed histogram scheme for analyzer
@@ -154,8 +152,6 @@ func newMetrics() *Metrics {
 		GuestOverheadCyc:     reg.Gauge("umi.guest.overhead_cycles"),
 		GuestWallNs:          reg.Gauge("umi.guest.wall_ns"),
 		BurstSkips:           reg.Counter("umi.sampler.burst_skips"),
-		ReservoirReplaced:    reg.Counter("umi.sampler.reservoir_replaced"),
-		ReservoirDrops:       reg.Counter("umi.sampler.reservoir_drops"),
 		AdaptShrinks:         reg.Counter("umi.sampler.adapt_shrinks"),
 		AdaptRearms:          reg.Counter("umi.sampler.adapt_rearms"),
 		AdaptLevel:           reg.Gauge("umi.sampler.level"),

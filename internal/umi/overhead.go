@@ -206,27 +206,6 @@ func (r *OverheadReport) LiveString() string {
 	return sb.String()
 }
 
-// WriteOverheadProm renders the attribution report as Prometheus 0.0.4
-// text: a per-stage labeled cycle/wall family plus the headline ratio —
-// the derived view dashboards want next to the raw umi_stage_* families
-// the registry already exposes.
-func WriteOverheadProm(w io.Writer, r *OverheadReport) {
-	if r == nil {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE umi_overhead_guest_cycles gauge\numi_overhead_guest_cycles %d\n", r.GuestCycles)
-	fmt.Fprintf(w, "# TYPE umi_overhead_cycles_total gauge\numi_overhead_cycles_total %d\n", r.OverheadCycles)
-	fmt.Fprintf(w, "# TYPE umi_overhead_ratio gauge\numi_overhead_ratio %s\n", promFloat(r.OverheadRatio))
-	fmt.Fprintf(w, "# TYPE umi_overhead_stage_cycles gauge\n")
-	for _, st := range r.Stages {
-		fmt.Fprintf(w, "umi_overhead_stage_cycles{stage=%q} %d\n", st.Stage, st.ModelledCycles)
-	}
-	fmt.Fprintf(w, "# TYPE umi_overhead_stage_wall_ns gauge\n")
-	for _, st := range r.Stages {
-		fmt.Fprintf(w, "umi_overhead_stage_wall_ns{stage=%q} %d\n", st.Stage, st.WallNs)
-	}
-}
-
 // LabeledOverhead pairs a fleet label (session id) with one report.
 type LabeledOverhead struct {
 	Label  string

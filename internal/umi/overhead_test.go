@@ -116,38 +116,30 @@ func TestLiveOverheadFromRegistry(t *testing.T) {
 	}
 }
 
-// TestOverheadPromRender: the exposition must carry every family, and the
-// fleet writer must label each sample while declaring types once.
+// TestOverheadPromRender: the fleet exposition must carry every family,
+// label each sample, and declare each type once.
 func TestOverheadPromRender(t *testing.T) {
 	prog := strideWorkload(t, 400_000)
 	s, _ := runUMI(t, prog, testConfig())
 	r := s.Overhead()
 
 	var sb strings.Builder
-	WriteOverheadProm(&sb, r)
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE umi_overhead_guest_cycles gauge",
-		"# TYPE umi_overhead_ratio gauge",
-		`umi_overhead_stage_cycles{stage="fill"}`,
-		`umi_overhead_stage_wall_ns{stage="analyze"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-
-	sb.Reset()
 	WriteOverheadPromFleet(&sb, []LabeledOverhead{
 		{Label: "s1", Report: r}, {Label: "s2", Report: r}, {Label: "s3"},
 	})
 	fleet := sb.String()
-	if c := strings.Count(fleet, "# TYPE umi_overhead_ratio gauge"); c != 1 {
-		t.Errorf("fleet exposition declares umi_overhead_ratio %d times, want 1", c)
+	for _, family := range []string{
+		"umi_overhead_guest_cycles", "umi_overhead_cycles_total", "umi_overhead_ratio",
+		"umi_overhead_stage_cycles", "umi_overhead_stage_wall_ns",
+	} {
+		if c := strings.Count(fleet, "# TYPE "+family+" gauge"); c != 1 {
+			t.Errorf("fleet exposition declares %s %d times, want 1", family, c)
+		}
 	}
 	for _, want := range []string{
 		`umi_overhead_ratio{session="s1"}`,
 		`umi_overhead_stage_cycles{session="s2",stage="fill"}`,
+		`umi_overhead_stage_wall_ns{session="s1",stage="analyze"}`,
 	} {
 		if !strings.Contains(fleet, want) {
 			t.Errorf("fleet exposition missing %q:\n%s", want, fleet)

@@ -69,19 +69,6 @@ func (p *AddressProfile) Record(row, col int, addr uint64) {
 // actually simulated.
 func (p *AddressProfile) Recorded() int { return p.recorded }
 
-// ReuseRow clears one already-open row so a new execution can record over
-// it — the reservoir-sampling overwrite. The row stays counted in Rows();
-// only its cells (and their contribution to Recorded) are discarded.
-func (p *AddressProfile) ReuseRow(row int) {
-	base := row * len(p.Ops)
-	for i := base; i < base+len(p.Ops); i++ {
-		if p.cells[i] != noAddr {
-			p.recorded--
-			p.cells[i] = noAddr
-		}
-	}
-}
-
 // At returns the recorded address for (row, col) and whether one exists.
 func (p *AddressProfile) At(row, col int) (uint64, bool) {
 	a := p.cells[row*len(p.Ops)+col]

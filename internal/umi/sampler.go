@@ -1,7 +1,7 @@
 package umi
 
 // Sampled and adaptive instrumentation (Examem-style, ROADMAP item): the
-// machinery that makes "always on" cheap. Three independent mechanisms,
+// machinery that makes "always on" cheap. Two independent mechanisms,
 // each provably inert when disabled:
 //
 //   - Burst sampling (Config.BurstPeriod): an instrumented trace records
@@ -9,10 +9,6 @@ package umi
 //     schedule — seeded from SamplerSeed and the trace's start PC,
 //     advanced by the trace's own entry counter — and skipped entries run
 //     without reference hooks, paying PrologCost but no per-ref cost.
-//   - Reservoir sampling (Config.ReservoirRows): caps a profile's
-//     physical rows; once full, each further recorded execution replaces
-//     a pseudo-random resident with probability cap/seen (or is
-//     dropped), yielding a uniform row sample of the whole burst.
 //   - History-driven adaptation (Config.AdaptSampling): consecutive
 //     phase-stable analyzer windows shrink the per-trace row target and
 //     stretch the reinstrumentation cooldown; a PhaseChange flag re-arms
@@ -24,8 +20,8 @@ package umi
 // unsampled ones, are byte-identical at every analyzer worker count.
 
 // splitmix64 is the SplitMix64 output function: a fast, well-mixed
-// 64-bit permutation used both to derive per-trace schedule offsets from
-// (seed, PC) and as the reservoir's PRNG step.
+// 64-bit permutation used to derive per-trace schedule offsets from
+// (seed, PC).
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -33,20 +29,11 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// samplerInit seeds a trace's deterministic sampling state from the
-// configured seed and the trace's start PC: the burst phase offset
-// (decorrelating traces so they don't all record the same entries) and
-// the reservoir PRNG stream.
+// samplerInit seeds a trace's burst phase offset from the configured
+// seed and the trace's start PC, decorrelating traces so they don't all
+// record the same entries.
 func (s *System) samplerInit(ts *traceState) {
-	h := splitmix64(s.cfg.SamplerSeed ^ ts.clean.Start)
-	ts.burstOffset = h
-	ts.rngState = splitmix64(h)
-}
-
-// nextRand advances the trace's reservoir PRNG stream.
-func (ts *traceState) nextRand() uint64 {
-	ts.rngState = splitmix64(ts.rngState)
-	return ts.rngState
+	ts.burstOffset = splitmix64(s.cfg.SamplerSeed ^ ts.clean.Start)
 }
 
 // burstRecord reports whether the trace's next entry is scheduled to

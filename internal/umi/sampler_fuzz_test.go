@@ -14,15 +14,14 @@ import (
 // row target stays within (0, AddressProfileRows], and the schedule is a
 // pure function of (seed, start PC, entry counter).
 func FuzzSamplerConfig(f *testing.F) {
-	f.Add(0, uint64(0), 0, 0, uint64(0x400000), uint8(0))
-	f.Add(8, uint64(1), 64, 4, uint64(0x401000), uint8(1))
-	f.Add(-5, uint64(1<<63), 1<<30, -3, uint64(0), uint8(3))
-	f.Add(1, uint64(42), -1, 1, uint64(0xffffffffffffffff), uint8(7))
-	f.Fuzz(func(t *testing.T, period int, seed uint64, reservoir, stable int, startPC uint64, levelRaw uint8) {
+	f.Add(0, uint64(0), 0, uint64(0x400000), uint8(0))
+	f.Add(8, uint64(1), 4, uint64(0x401000), uint8(1))
+	f.Add(-5, uint64(1<<63), -3, uint64(0), uint8(3))
+	f.Add(1, uint64(42), 1, uint64(0xffffffffffffffff), uint8(7))
+	f.Fuzz(func(t *testing.T, period int, seed uint64, stable int, startPC uint64, levelRaw uint8) {
 		cfg := DefaultConfig(cache.P4L2)
 		cfg.BurstPeriod = period
 		cfg.SamplerSeed = seed
-		cfg.ReservoirRows = reservoir
 		cfg.AdaptSampling = true
 		cfg.AdaptStableWindows = stable
 
@@ -44,11 +43,7 @@ func FuzzSamplerConfig(f *testing.F) {
 		}
 
 		mk := func() *traceState {
-			ts := &traceState{rowTarget: rows}
-			h := splitmix64(seed ^ startPC)
-			ts.burstOffset = h
-			ts.rngState = splitmix64(h)
-			return ts
+			return &traceState{rowTarget: rows, burstOffset: splitmix64(seed ^ startPC)}
 		}
 		ts := mk()
 		recorded := 0
@@ -65,99 +60,12 @@ func FuzzSamplerConfig(f *testing.F) {
 			t.Fatalf("schedule recorded 0 rows over a %d-entry burst (period %d)", rows, period)
 		}
 		// Replaying the same (seed, PC) stream must reproduce the schedule
-		// and the reservoir PRNG sequence exactly.
+		// exactly.
 		ts2 := mk()
 		for e := 0; e < rows; e++ {
 			ts2.entrySeen = e
 			if s.burstRecord(ts2) != schedule[e] {
 				t.Fatalf("entry %d: schedule not reproducible", e)
-			}
-		}
-		if ts.nextRand() != ts2.nextRand() {
-			t.Fatal("reservoir PRNG stream not reproducible")
-		}
-	})
-}
-
-// FuzzReservoirProfile drives the reservoir-sampling row discipline over
-// an AddressProfile with arbitrary geometry — cap zero, cap at or above
-// the stream length, duplicate PCs — and checks the structural invariants
-// the analyzer assumes: row count never exceeds the cap, the recorded-cell
-// ledger stays exact through ReuseRow overwrites, and the resulting
-// profile analyzes without panicking.
-func FuzzReservoirProfile(f *testing.F) {
-	f.Add(uint8(4), uint8(8), uint8(40), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(uint8(1), uint8(0), uint8(10), []byte{})
-	f.Add(uint8(3), uint8(32), uint8(5), []byte{255, 128, 0, 7})
-	f.Fuzz(func(t *testing.T, nOpsRaw, capRaw, streamRaw uint8, data []byte) {
-		nOps := 1 + int(nOpsRaw%8)
-		rowCap := int(capRaw % 33) // includes 0
-		stream := int(streamRaw)   // may be far above the cap
-		cursor := 0
-		next := func() byte {
-			if cursor >= len(data) {
-				return 0
-			}
-			b := data[cursor]
-			cursor++
-			return b
-		}
-
-		ops := make([]uint64, nOps)
-		isLoad := make([]bool, nOps)
-		for i := range ops {
-			// Duplicate PCs on purpose: a trace can profile the same PC in
-			// two columns after inlining.
-			ops[i] = 0x400000 + uint64(i%3)*4
-			isLoad[i] = next()%3 != 0
-		}
-		p := NewAddressProfile(ops, isLoad, rowCap)
-		ts := &traceState{profile: p, rngState: splitmix64(uint64(next()) + 1)}
-
-		recordRow := func(row int) {
-			for c := 0; c < nOps; c++ {
-				if next()%4 == 0 {
-					continue
-				}
-				p.Record(row, c, uint64(next())*64)
-			}
-		}
-		for k := 1; k <= stream; k++ {
-			ts.rowsSeen++
-			if row, ok := p.OpenRow(); ok {
-				recordRow(row)
-				continue
-			}
-			j := ts.nextRand() % uint64(ts.rowsSeen)
-			if j >= uint64(rowCap) {
-				continue // dropped
-			}
-			p.ReuseRow(int(j))
-			recordRow(int(j))
-		}
-
-		if p.Rows() > rowCap {
-			t.Fatalf("profile holds %d rows, cap %d", p.Rows(), rowCap)
-		}
-		// The recorded ledger must equal a direct count of populated cells.
-		count := 0
-		for r := 0; r < p.Rows(); r++ {
-			for c := 0; c < nOps; c++ {
-				if _, ok := p.At(r, c); ok {
-					count++
-				}
-			}
-		}
-		if count != p.Recorded() {
-			t.Fatalf("Recorded() = %d, cells hold %d", p.Recorded(), count)
-		}
-		if p.Rows() > 0 {
-			cfg := DefaultConfig(cache.P4L2)
-			an := NewAnalyzer(&cfg)
-			an.BeginInvocation(1000)
-			an.AnalyzeProfile(p, 0.1)
-			if r := an.MissRatio(); r < 0 || r > 1 {
-				t.Fatalf("miss ratio %v out of range on a reservoir profile", r)
 			}
 		}
 	})

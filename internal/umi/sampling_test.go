@@ -52,13 +52,7 @@ func TestSamplingDeterminism(t *testing.T) {
 		"stride":    strideWorkload(t, 400_000),
 	}
 	mods := map[string]func(*Config){
-		"burst":     func(c *Config) { c.BurstPeriod = 8; c.SamplerSeed = 1 },
-		"reservoir": func(c *Config) { c.ReservoirRows = 64 },
-		"burst+reservoir": func(c *Config) {
-			c.BurstPeriod = 8
-			c.SamplerSeed = 1
-			c.ReservoirRows = 64
-		},
+		"burst": func(c *Config) { c.BurstPeriod = 8; c.SamplerSeed = 1 },
 		"adapt": func(c *Config) {
 			c.BurstPeriod = 8
 			c.SamplerSeed = 1
@@ -81,18 +75,16 @@ func TestSamplingDeterminism(t *testing.T) {
 }
 
 // TestSamplingOffInert: configurations that disable sampling in every
-// spelling (zero period, explicit period 1, a seed with no period, a
-// reservoir at or above the row target) must reproduce the plain config's
+// spelling (zero period, explicit period 1, a seed with no period) must
+// reproduce the plain config's
 // report exactly — the off path is the pre-sampling code path.
 func TestSamplingOffInert(t *testing.T) {
 	prog := strideWorkload(t, 400_000)
 	base := testConfig()
 	want := workerKey(t, prog, base, 0)
 	offs := map[string]func(*Config){
-		"period-1":      func(c *Config) { c.BurstPeriod = 1 },
-		"seed-only":     func(c *Config) { c.SamplerSeed = 0xdead },
-		"reservoir-cap": func(c *Config) { c.ReservoirRows = c.AddressProfileRows },
-		"reservoir-big": func(c *Config) { c.ReservoirRows = 4 * c.AddressProfileRows },
+		"period-1":  func(c *Config) { c.BurstPeriod = 1 },
+		"seed-only": func(c *Config) { c.SamplerSeed = 0xdead },
 	}
 	for name, mod := range offs {
 		cfg := testConfig()
@@ -131,32 +123,6 @@ func TestBurstSamplingCutsFill(t *testing.T) {
 	loopPC := prog.Symbols["loop"]
 	if !burst.Report().Delinquent[loopPC] {
 		t.Errorf("burst run lost the strided delinquent load %#x", loopPC)
-	}
-}
-
-// TestReservoirCapsRows: a reservoir below the row target must bound the
-// profile's physical rows, keep replacing residents once full, and still
-// find the delinquent load.
-func TestReservoirCapsRows(t *testing.T) {
-	prog := strideWorkload(t, 400_000)
-	cfg := testConfig()
-	cfg.ReservoirRows = 32
-	s, _ := runUMI(t, prog, cfg)
-	snap := s.MetricsSnapshot()
-	if rep := snap.Counter("umi.sampler.reservoir_replaced"); rep == 0 {
-		t.Error("reservoir never replaced a resident row")
-	}
-	// Rows simulated per invocation are bounded by the cap: total refs <=
-	// invocations x cap x ops-per-trace. The coarse bound that matters is
-	// refs being far below the uncapped run's.
-	full, _ := runUMI(t, prog, testConfig())
-	if s.Report().SimulatedRefs >= full.Report().SimulatedRefs {
-		t.Errorf("capped run simulated %d refs, uncapped %d — cap had no effect",
-			s.Report().SimulatedRefs, full.Report().SimulatedRefs)
-	}
-	loopPC := prog.Symbols["loop"]
-	if !s.Report().Delinquent[loopPC] {
-		t.Errorf("reservoir run lost the strided delinquent load %#x", loopPC)
 	}
 }
 

@@ -35,14 +35,11 @@ type traceState struct {
 	// since the trace was last (re)instrumented — the burst position and
 	// the fill trigger; rowTarget is the entry budget captured at
 	// instrument time (adaptation can change it between bursts, never
-	// mid-burst); rowsSeen counts recorded executions offered to the
-	// reservoir; burstOffset and rngState are the per-trace deterministic
-	// schedule seeds.
+	// mid-burst); burstOffset is the per-trace deterministic schedule
+	// seed.
 	entrySeen   int
 	rowTarget   int
-	rowsSeen    int
 	burstOffset uint64
-	rngState    uint64
 }
 
 // System wires the three UMI components (region selector, instrumentor,
@@ -255,36 +252,30 @@ func (s *System) instrument(ts *traceState) {
 		s.met.TracesBarren.Inc()
 		return
 	}
-	// The burst's entry budget is the (possibly adaptation-shrunk) row
-	// target; the profile's physical capacity is that, further capped by
-	// the reservoir. Both are latched here so mid-burst adaptation never
-	// changes a running trace's geometry.
+	// The burst's entry budget, and so the profile's capacity, is the
+	// (possibly adaptation-shrunk) row target, latched here so mid-burst
+	// adaptation never changes a running trace's geometry.
 	ts.rowTarget = s.effRows()
-	capRows := ts.rowTarget
-	if r := s.cfg.ReservoirRows; r > 0 && r < capRows {
-		capRows = r
-	}
 	ts.entrySeen = 0
-	ts.rowsSeen = 0
 	switch {
 	case ts.profile == nil:
 		// No buffer attached: either the trace was never instrumented, or
 		// its last profile is still in (or went through) the pipeline.
 		// Prefer a recycled buffer over a fresh allocation.
 		if s.pool != nil {
-			ts.profile = s.pool.takeRecycled(ops, isLoad, capRows)
+			ts.profile = s.pool.takeRecycled(ops, isLoad, ts.rowTarget)
 		}
 		if ts.profile == nil {
-			ts.profile = NewAddressProfile(ops, isLoad, capRows)
+			ts.profile = NewAddressProfile(ops, isLoad, ts.rowTarget)
 			s.met.RecycleMisses.Inc()
 		} else {
 			s.met.RecycleHits.Inc()
 			s.tlog.Emit(tracelog.Event{Type: tracelog.EvPipelineRecycle,
 				Cycles: s.rt.M.Cycles, TracePC: ts.clean.Start,
-				Arg1: uint64(capRows)})
+				Arg1: uint64(ts.rowTarget)})
 		}
-	case len(ts.profile.Ops) != len(ops) || ts.profile.rowCap != capRows:
-		ts.profile.Reinit(ops, isLoad, capRows)
+	case len(ts.profile.Ops) != len(ops) || ts.profile.rowCap != ts.rowTarget:
+		ts.profile.Reinit(ops, isLoad, ts.rowTarget)
 	default:
 		ts.profile.Reset()
 	}
@@ -344,22 +335,8 @@ func (s *System) instrument(ts *traceState) {
 				ts.rowOpen = false
 				return false
 			}
-			ts.rowsSeen++
-			if row, ok := ts.profile.OpenRow(); ok {
-				ts.curRow = row
-			} else {
-				// Reservoir: replace a pseudo-random resident with
-				// probability cap/seen, else drop this execution.
-				j := ts.nextRand() % uint64(ts.rowsSeen)
-				if j >= uint64(ts.profile.rowCap) {
-					s.met.ReservoirDrops.Inc()
-					ts.rowOpen = false
-					return false
-				}
-				ts.profile.ReuseRow(int(j))
-				ts.curRow = int(j)
-				s.met.ReservoirReplaced.Inc()
-			}
+			// Never full: at most entrySeen <= rowTarget rows are open.
+			ts.curRow, _ = ts.profile.OpenRow()
 			ts.rowOpen = true
 			s.globalRows++
 			return true

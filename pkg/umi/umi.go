@@ -218,17 +218,6 @@ func WithBurstSampling(period int, seed uint64) Option {
 	}
 }
 
-// WithRowReservoir caps the rows a profile physically retains at n:
-// beyond the cap, each recorded execution replaces a deterministic
-// pseudo-random resident or is dropped (classic reservoir sampling), so
-// the analyzer replays a uniform sample of the burst at a fraction of the
-// simulation cost. 0 disables.
-func WithRowReservoir(n int) Option {
-	return func(s *Session) {
-		s.cfgEdit = append(s.cfgEdit, func(c *iumi.Config) { c.ReservoirRows = n })
-	}
-}
-
 // WithAdaptiveSampling enables history-driven adaptation: after
 // stableWindows consecutive analyzer windows without a phase change the
 // sampler halves the per-trace row target and doubles the
